@@ -10,9 +10,9 @@ milliseconds (:attr:`QueryResult.simulated_ms`) so CI runs are stable:
 - **planner_regret** — over a mixed temporal/ST/spatial workload the
   CBO's mean latency is compared against a per-query oracle (best forced
   plan).  The matrix of forced runs doubles as the calibration corpus:
-  :func:`repro.query.cost.calibrate` fits the cost constants to this
+  :func:`repro.query.cost.calibrate` fits the planner prices to this
   deployment, and the calibrated regret is the number CI gates on
-  (``python -m repro.bench.validate_cbo --max-regret 0.15``).
+  (``python -m repro.bench.validate cbo --max-regret 0.15``).
 - **adaptive_replan** — statistics are made stale-low (a flushed sliver
   plus a large unflushed burst); the CBO picks a plan that is wrong for
   the actual data, the divergence guard fires mid-query, and the re-plan
@@ -186,7 +186,7 @@ def _forced_matrix(tman, queries):
                     "range_scans": ledger.range_scans,
                     "decode_rows": ledger.decode_rows,
                     # Fit against the deterministic simulated cost so the
-                    # calibrated constants match the unit regret is in.
+                    # calibrated prices match the unit regret is in.
                     "elapsed_ms": r.simulated_ms,
                 }
             )
@@ -220,23 +220,23 @@ def _planner_regret(tman, report):
     _forced_matrix(tman, queries)  # warm pass
     samples = _forced_matrix(tman, queries)
     default = _regret(tman, queries)
-    fitted = calibrate(samples, defaults=tman.planner.cost_constants)
-    tman.planner.set_cost_constants(fitted)
+    fitted = calibrate(samples, defaults=tman.planner.costs)
+    tman.planner.set_costs(fitted)
     calibrated = _regret(tman, queries)
     section = {
         "queries": len(queries),
         "calibration_samples": len(samples),
         "default": default,
         "calibrated": calibrated,
-        "constants": {
-            "seq_row": round(fitted.seq_row, 4),
-            "point_get": round(fitted.point_get, 4),
-            "window_open": round(fitted.window_open, 4),
-            "decode_row": round(fitted.decode_row, 4),
+        "costs": {
+            "rows_scanned": round(fitted.rows_scanned, 4),
+            "range_scans": round(fitted.range_scans, 4),
+            "point_gets": round(fitted.point_gets, 4),
+            "decode_rows": round(fitted.decode_rows, 4),
         },
     }
     report["planner_regret"] = section
-    # The acceptance gate CI re-checks via repro.bench.validate_cbo.
+    # The acceptance gate CI re-checks via repro.bench.validate.
     assert calibrated["regret"] <= MAX_REGRET, section
     assert calibrated["regret"] <= default["regret"] + 1e-9, section
 

@@ -1,12 +1,10 @@
 """Columnar row format + vectorized similarity benchmark.
 
-Quantifies the three claims of the columnar PR against the seed ("before")
-implementations, which are kept in-tree precisely for this comparison:
+Reports the columnar data path against the seed ("before") similarity
+kernels, which are kept in-tree precisely for this comparison:
 
-- **storage** — v2 rows (delta+zigzag+varint streams, quantized feature
-  section) vs v1 rows, as bytes-per-trajectory of flushed SSTable files;
-- **decode** — batched columnar decode into :class:`PointBlock` vs the
-  scalar per-point object path, on the same v2 rows;
+- **storage** — v2 row and flushed-SSTable bytes per trajectory;
+- **decode** — batched columnar decode into :class:`PointBlock`;
 - **similarity** — the antidiagonal numpy kernels vs the row-by-row
   reference kernels (:mod:`repro.similarity.reference`), both per-call
   and end-to-end through a Fig-21-style top-k similarity workload where
@@ -17,7 +15,7 @@ Trajectories are resampled to realistic fix counts (the scaled-down
 dataset generator emits very short trips; the paper's similarity
 workloads run on trajectories with hundreds of fixes, where the DP
 kernels dominate).  Emits ``benchmarks/results/BENCH_columnar.json``
-(schema-checked in CI via ``python -m repro.bench.validate_columnar``)
+(schema-checked in CI via ``python -m repro.bench.validate columnar``)
 and enforces a regression guard: top-k similarity p50 must stay within
 2x the baseline recorded in ``benchmarks/baselines/columnar_baseline.json``.
 ``BENCH_SMOKE=1`` shrinks the workload so CI can run the full path in
@@ -110,60 +108,37 @@ def test_columnar_benchmark(tmp_path_factory):
         "points_per_trajectory": POINTS,
     }
 
-    # -- storage: v1 vs v2 bytes per trajectory ---------------------------
-    rows = {}
-    for version in (1, 2):
-        serializer = RowSerializer(write_version=version)
-        rows[version] = [
-            (f"k{i:06d}".encode(), serializer.encode(t, tr_value=0))
-            for i, t in enumerate(data)
-        ]
-    sst = {
-        version: _sstable_bytes(tmp_path_factory.mktemp(f"v{version}"), rows[version])
-        for version in (1, 2)
-    }
+    # -- storage: v2 bytes per trajectory --------------------------------
+    serializer = RowSerializer()
+    rows = [
+        (f"k{i:06d}".encode(), serializer.encode(t, tr_value=0))
+        for i, t in enumerate(data)
+    ]
+    sst = _sstable_bytes(tmp_path_factory.mktemp("v2"), rows)
     report["storage"] = {
-        "v1_row_bytes_per_traj": round(
-            sum(len(v) for _, v in rows[1]) / N_TRAJS, 1
-        ),
-        "v2_row_bytes_per_traj": round(
-            sum(len(v) for _, v in rows[2]) / N_TRAJS, 1
-        ),
-        "v1_sstable_bytes_per_traj": round(sst[1] / N_TRAJS, 1),
-        "v2_sstable_bytes_per_traj": round(sst[2] / N_TRAJS, 1),
-        "sstable_ratio_v2_over_v1": round(sst[2] / sst[1], 4),
+        "v2_row_bytes_per_traj": round(sum(len(v) for _, v in rows) / N_TRAJS, 1),
+        "v2_sstable_bytes_per_traj": round(sst / N_TRAJS, 1),
     }
-    assert sst[2] < sst[1], report["storage"]
 
-    # -- decode: columnar block vs scalar object path ---------------------
+    # -- decode: batched columnar decode ----------------------------------
     # Measured on rows whose point streams use the pure varint wire (the
     # ``columnar`` codec), where decode is numpy passes end to end.
-    wire = TrajectoryCodec("columnar")
-    columnar = RowSerializer(wire, columnar=True)
-    legacy = RowSerializer(wire, columnar=False)
+    columnar = RowSerializer(TrajectoryCodec("columnar"))
     v2_rows = [columnar.encode(t, tr_value=0) for t in data]
-    decode = {}
-    for name, serializer in (("columnar", columnar), ("legacy", legacy)):
-        reps = 2 if SMOKE else 5
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            for value in v2_rows:
-                stored = serializer.decode_trajectory(value)
-                # Materialize coordinates the way refinement does.
-                stored.trajectory.xy_arrays()
-        elapsed = time.perf_counter() - t0
-        decode[name] = {
+    reps = 2 if SMOKE else 5
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        for value in v2_rows:
+            stored = columnar.decode_trajectory(value)
+            # Materialize coordinates the way refinement does.
+            stored.trajectory.xy_arrays()
+    elapsed = time.perf_counter() - t0
+    report["decode"] = {
+        "columnar": {
             "rows_per_s": round(reps * len(v2_rows) / elapsed, 1),
             "ms_per_row": round(elapsed / (reps * len(v2_rows)) * 1e3, 4),
         }
-    decode["speedup"] = round(
-        decode["columnar"]["rows_per_s"] / decode["legacy"]["rows_per_s"], 3
-    )
-    report["decode"] = decode
-    sample = v2_rows[0]
-    assert list(columnar.decode(sample).trajectory.points) == list(
-        legacy.decode(sample).trajectory.points
-    )
+    }
 
     # -- similarity kernels: vectorized vs reference ----------------------
     pairs = [

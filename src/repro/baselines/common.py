@@ -15,8 +15,8 @@ from repro.compression.traj_codec import TrajectoryCodec
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.filters import Filter
 from repro.kvstore.scan import Scan
-from repro.kvstore.stats import CostModel
 from repro.model.trajectory import Trajectory
+from repro.query.cost import HBASE_COSTS
 from repro.query.types import QueryResult
 from repro.storage.schema import RowKeyCodec, encode_u64
 from repro.storage.serializer import RowSerializer
@@ -33,7 +33,6 @@ class SingleIndexStore:
         num_shards: int = 4,
         kv_workers: int = 4,
         push_down: bool = True,
-        cost_model: Optional[CostModel] = None,
     ):
         self.name = name
         self._index_value = index_value_fn
@@ -43,7 +42,6 @@ class SingleIndexStore:
         self.table = self.cluster.create_table(f"{name}_primary")
         self.keys = RowKeyCodec(num_shards, index_width=8)
         self.serializer = RowSerializer(TrajectoryCodec())
-        self._cost = cost_model if cost_model is not None else CostModel()
         self.row_count = 0
 
     def close(self) -> None:
@@ -106,6 +104,6 @@ class SingleIndexStore:
             transferred_rows=delta.rows_returned,
             windows=delta.range_scans,
             elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta),
+            simulated_ms=HBASE_COSTS.simulate_ms(delta),
             plan=f"{self.name}/primary",
         )

@@ -20,11 +20,11 @@ from typing import Optional, Sequence
 
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.scan import Scan
-from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
 from repro.model.point import STPoint
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
+from repro.query.cost import HBASE_COSTS
 from repro.query.types import QueryResult
 from repro.storage.schema import SEPARATOR, encode_u64
 
@@ -45,7 +45,6 @@ class STHadoop:
         origin: float = 0.0,
         kv_workers: int = 4,
         job_overhead_ms: float = DEFAULT_JOB_OVERHEAD_MS,
-        cost_model: Optional[CostModel] = None,
     ):
         if slice_seconds <= 0:
             raise ValueError(f"slice_seconds must be positive: {slice_seconds}")
@@ -56,7 +55,6 @@ class STHadoop:
         self.job_overhead_ms = job_overhead_ms
         self.cluster = Cluster(workers=kv_workers)
         self.table = self.cluster.create_table("sth_points")
-        self._cost = cost_model if cost_model is not None else CostModel()
         self._oid_of: dict[str, str] = {}
         self._slices: set[int] = set()
         self.point_count = 0
@@ -152,7 +150,7 @@ class STHadoop:
             transferred_rows=delta.rows_returned,
             windows=delta.range_scans,
             elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta) + self.job_overhead_ms,
+            simulated_ms=HBASE_COSTS.simulate_ms(delta) + self.job_overhead_ms,
             plan="sthadoop/job",
         )
 

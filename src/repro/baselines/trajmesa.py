@@ -22,10 +22,10 @@ from repro.core.temporal import TRIndex
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.filters import Filter, FilterChain
 from repro.kvstore.scan import Scan
-from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
+from repro.query.cost import HBASE_COSTS
 from repro.query.filters import SpatialFilter, TemporalFilter
 from repro.query.types import QueryResult
 from repro.similarity.measures import distance_by_name
@@ -48,7 +48,6 @@ class TrajMesa:
         origin: float = 0.0,
         num_shards: int = 4,
         kv_workers: int = 4,
-        cost_model: Optional[CostModel] = None,
     ):
         self.grid = QuadTreeGrid(boundary, max_resolution)
         self.xzt = XZTIndex(xzt_period_seconds, 16, origin)
@@ -60,7 +59,6 @@ class TrajMesa:
         self.cluster = Cluster(workers=kv_workers)
         self.keys = RowKeyCodec(num_shards, index_width=8)
         self.serializer = RowSerializer(TrajectoryCodec())
-        self._cost = cost_model if cost_model is not None else CostModel()
         self.temporal_table = self.cluster.create_table("tm_temporal")
         self.spatial_table = self.cluster.create_table("tm_spatial")
         self.st_table = self.cluster.create_table("tm_st")
@@ -122,7 +120,7 @@ class TrajMesa:
             transferred_rows=delta.rows_returned,
             windows=delta.range_scans,
             elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta),
+            simulated_ms=HBASE_COSTS.simulate_ms(delta),
             plan=f"trajmesa/{name}",
         )
 
@@ -213,6 +211,6 @@ class TrajMesa:
             transferred_rows=delta.rows_returned,
             windows=delta.range_scans,
             elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta),
+            simulated_ms=HBASE_COSTS.simulate_ms(delta),
             plan="trajmesa/similarity",
         )

@@ -14,16 +14,16 @@ this design pays, both measured here:
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.compression.traj_codec import TrajectoryCodec
 from repro.core.baselines.start_time import StartTimeSegmentIndex
 from repro.core.temporal import TRIndex
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.scan import Scan
-from repro.kvstore.stats import CostModel
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory, concat_trajectories
+from repro.query.cost import HBASE_COSTS
 from repro.query.types import QueryResult
 from repro.storage.schema import SEPARATOR, encode_u64
 from repro.storage.serializer import RowSerializer
@@ -40,7 +40,6 @@ class VRE:
         segment_seconds: float = DEFAULT_SEGMENT_SECONDS,
         origin: float = 0.0,
         kv_workers: int = 2,
-        cost_model: Optional[CostModel] = None,
     ):
         self.index = StartTimeSegmentIndex(segment_seconds, origin)
         self.cluster = Cluster(workers=kv_workers)
@@ -48,7 +47,6 @@ class VRE:
         self.by_tid = self.cluster.create_table("vre_tid")
         self.serializer = RowSerializer(TrajectoryCodec())
         self._tr_slot = TRIndex(origin=origin)
-        self._cost = cost_model if cost_model is not None else CostModel()
         self.segment_count = 0
         self.trajectory_count = 0
 
@@ -135,7 +133,7 @@ class VRE:
             transferred_rows=delta.rows_returned,
             windows=delta.range_scans,
             elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta),
+            simulated_ms=HBASE_COSTS.simulate_ms(delta),
             plan="vre/start-time",
         )
         result.count = reassembly_gets  # surfaced for the ablation bench

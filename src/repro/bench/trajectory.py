@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
 
 TRAJECTORY_SCHEMA = "repro.bench.trajectory/v1"
 
@@ -42,8 +41,6 @@ HEADLINE_PATHS: dict[str, tuple[str, ...]] = {
         "kernels.frechet.p50_speedup",
         "kernels.dtw.p50_speedup",
         "kernels.hausdorff.p50_speedup",
-        "decode.speedup",
-        "storage.sstable_ratio_v2_over_v1",
         "topk_similarity.p50_speedup",
     ),
     "cbo": (

@@ -129,23 +129,48 @@ def cmd_load(args: argparse.Namespace) -> int:
     return 0
 
 
+def _window(text: str) -> MBR:
+    """``--window`` parser: ``x1,y1,x2,y2`` as four numbers."""
+    try:
+        x1, y1, x2, y2 = (float(v) for v in text.split(","))
+        return MBR(x1, y1, x2, y2)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected four numbers x1,y1,x2,y2 with x1<=x2 and y1<=y2, got {text!r}"
+        ) from None
+
+
+def _positive_int(text: str) -> int:
+    """``--limit`` parser: a positive integer."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_query(args: argparse.Namespace):
-    """The query descriptor shared by ``query`` and ``explain``."""
+    """The query descriptor shared by ``query`` and ``explain``.
+
+    Raises ValueError naming the option a ``--type`` needs but lacks.
+    """
+    time_range = TimeRange(args.start, args.end)
     if args.type == "temporal":
-        return TemporalRangeQuery(TimeRange(args.start, args.end))
+        return TemporalRangeQuery(time_range)
+    if args.type == "id":
+        if args.oid is None:
+            raise ValueError("--type id needs --oid")
+        return IDTemporalQuery(args.oid, time_range)
+    if args.window is None:
+        raise ValueError(f"--type {args.type} needs --window")
     if args.type == "spatial":
-        x1, y1, x2, y2 = (float(v) for v in args.window.split(","))
-        return SpatialRangeQuery(MBR(x1, y1, x2, y2))
-    if args.type == "st":
-        x1, y1, x2, y2 = (float(v) for v in args.window.split(","))
-        return STRangeQuery(MBR(x1, y1, x2, y2), TimeRange(args.start, args.end))
-    return IDTemporalQuery(args.oid, TimeRange(args.start, args.end))
+        return SpatialRangeQuery(args.window)
+    return STRangeQuery(args.window, time_range)
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """``explain``: candidate plans, estimated costs, and the actual run."""
+    q = args.query
     with open_tman(args.deployment) as tman:
-        q = _build_query(args)
         est = tman.planner.estimate_candidates(q)
         print(tman.explain(q))
         print("candidate plans (cost in calibrated I/O units):")
@@ -194,35 +219,14 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
     retry_before = retry_counts()
     overrides = {"window_parallel": False} if args.no_window_parallel else None
-    deadline_kwargs = {
-        "deadline_ms": args.deadline_ms,
-        "allow_partial": args.allow_partial,
-    }
     with open_tman(args.deployment, config_overrides=overrides) as tman:
         try:
-            if args.type == "temporal":
-                res = tman.query(
-                    TemporalRangeQuery(TimeRange(args.start, args.end)),
-                    **deadline_kwargs,
-                )
-            elif args.type == "spatial":
-                x1, y1, x2, y2 = (float(v) for v in args.window.split(","))
-                res = tman.query(
-                    SpatialRangeQuery(MBR(x1, y1, x2, y2)), **deadline_kwargs
-                )
-            elif args.type == "st":
-                x1, y1, x2, y2 = (float(v) for v in args.window.split(","))
-                res = tman.query(
-                    STRangeQuery(
-                        MBR(x1, y1, x2, y2), TimeRange(args.start, args.end)
-                    ),
-                    **deadline_kwargs,
-                )
-            else:  # id
-                res = tman.query(
-                    IDTemporalQuery(args.oid, TimeRange(args.start, args.end)),
-                    **deadline_kwargs,
-                )
+            res = tman.query(
+                args.query,
+                limit=args.limit,
+                deadline_ms=args.deadline_ms,
+                allow_partial=args.allow_partial,
+            )
         except QueryTimeoutError as exc:
             print(f"query timed out: {exc}", file=sys.stderr)
             return 2
@@ -241,12 +245,10 @@ def cmd_query(args: argparse.Namespace) -> int:
                 f"injected={injected} rpc_failures={failures - retry_before[1]} "
                 f"retries={retries - retry_before[0]}"
             )
-        for traj in res.trajectories[: args.limit]:
+        for traj in res.trajectories:
             tr = traj.time_range
             print(f"  {traj.tid}  oid={traj.oid}  points={len(traj)}  "
                   f"t=[{tr.start:.0f},{tr.end:.0f}]")
-        if len(res) > args.limit:
-            print(f"  ... and {len(res) - args.limit} more")
     if args.trace_out:
         out = Path(args.trace_out)
         out.write_text(json.dumps(obs.tracer().to_chrome(), indent=2))
@@ -534,9 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--type", choices=["temporal", "spatial", "st", "id"], required=True)
     q.add_argument("--start", type=float, default=0.0, help="time range start (s)")
     q.add_argument("--end", type=float, default=0.0, help="time range end (s)")
-    q.add_argument("--window", help="x1,y1,x2,y2 spatial window")
+    q.add_argument("--window", type=_window, help="x1,y1,x2,y2 spatial window")
     q.add_argument("--oid", help="object id for --type id")
-    q.add_argument("--limit", type=int, default=10)
+    q.add_argument(
+        "--limit",
+        type=_positive_int,
+        default=10,
+        help="stop the query after this many trajectories",
+    )
     q.add_argument(
         "--trace-out",
         help="write the query's Chrome trace_event JSON to this file",
@@ -584,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.add_argument("--start", type=float, default=0.0, help="time range start (s)")
     e.add_argument("--end", type=float, default=0.0, help="time range end (s)")
-    e.add_argument("--window", help="x1,y1,x2,y2 spatial window")
+    e.add_argument("--window", type=_window, help="x1,y1,x2,y2 spatial window")
     e.add_argument("--oid", help="object id for --type id")
     e.add_argument(
         "--no-run",
@@ -655,7 +662,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Command-line entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.fn in (cmd_query, cmd_explain):
+        try:
+            args.query = _build_query(args)
+        except ValueError as exc:
+            parser.error(f"{args.command}: {exc}")  # exits with status 2
     return args.fn(args)
 
 

@@ -26,7 +26,7 @@ from repro.kvstore.retry import CircuitBreaker, RetryPolicy
 from repro.kvstore.scan import Scan
 from repro.kvstore.simfault import FaultConfig, FaultInjector, fault_injection
 from repro.kvstore.snapshot import load_cluster, save_cluster
-from repro.kvstore.stats import CostModel, ExecutionTrace, IOStats, StageStats
+from repro.kvstore.stats import ExecutionTrace, IOStats, StageStats
 from repro.kvstore.table import Table
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "TrueFilter",
     "PrefixFilter",
     "IOStats",
-    "CostModel",
     "ExecutionTrace",
     "StageStats",
     "RetryPolicy",

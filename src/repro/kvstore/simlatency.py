@@ -6,7 +6,7 @@ hardware those calls complete in microseconds, which hides exactly the
 costs the multi-range scheduler and ``multi_get`` batching exist to
 overlap.  This module injects the modeled per-call latency as real
 (GIL-releasing) sleeps, so wall-clock benchmarks measure scheduling the
-way :class:`~repro.kvstore.stats.CostModel` models it.
+way :data:`~repro.query.cost.HBASE_COSTS` models it.
 
 Disabled by default: the knob is process-global, ``None`` unless a
 benchmark or test enables it, and every call site guards with one
@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 class SimulatedRPC:
     """Per-call latencies (milliseconds) of an emulated remote kvstore.
 
-    ``scan_ms`` is paid once per region scan (the CostModel's seek+RPC);
+    ``scan_ms`` is paid once per region scan (HBASE_COSTS' seek+RPC);
     ``get_ms`` once per point get *request* — a batched ``multi_get``
     pays it per region batch, which is precisely the saving it claims.
     """

@@ -1,4 +1,4 @@
-"""I/O accounting and the simulated cost model.
+"""I/O accounting.
 
 Every scan and point-get updates an :class:`IOStats` instance.  The counters
 mirror the quantities the paper reports:
@@ -13,9 +13,8 @@ mirror the quantities the paper reports:
 - ``filter_evals`` — push-down filter evaluations;
 - ``bloom_rejects`` — point gets skipped thanks to bloom filters.
 
-The :class:`CostModel` converts a counter snapshot into simulated
-milliseconds for a disk-backed distributed deployment, so benchmark reports
-can show both real wall time of the embedded store and modeled cluster time.
+:mod:`repro.query.cost` prices a counter snapshot (simulated milliseconds
+for a disk-backed distributed deployment, or planner cost units).
 
 :class:`ExecutionTrace` complements the global counters with *per-operator*
 accounting for the streaming query pipeline: each stage (window generation,
@@ -190,30 +189,3 @@ class ExecutionTrace:
             f"{s.name}:{s.rows_in}->{s.rows_out}" for s in self._stages
         )
         return f"ExecutionTrace({inner})"
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Convert I/O counters to simulated milliseconds on a disk cluster.
-
-    Defaults approximate a small HBase deployment: ~8 ms per range seek,
-    ~4 us per row scanned server-side, ~20 us per row shipped to the client
-    plus bandwidth, and a fixed per-request RPC overhead.
-    """
-
-    seek_ms: float = 8.0
-    row_scan_us: float = 4.0
-    row_transfer_us: float = 20.0
-    bandwidth_mb_per_s: float = 200.0
-    rpc_ms: float = 1.0
-
-    def simulate_ms(self, delta: StatsSnapshot) -> float:
-        """Modeled latency of the work captured by a snapshot delta."""
-        transfer_ms = delta.bytes_transferred / (self.bandwidth_mb_per_s * 1_000_000) * 1000
-        return (
-            delta.range_scans * self.seek_ms
-            + delta.rows_scanned * self.row_scan_us / 1000
-            + delta.rows_returned * self.row_transfer_us / 1000
-            + transfer_ms
-            + (self.rpc_ms if (delta.range_scans or delta.point_gets) else 0.0)
-        )

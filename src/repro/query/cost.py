@@ -1,65 +1,93 @@
-"""Calibrated plan costing for the CBO.
+"""The one I/O cost model: a price per counter.
 
-Plans are costed in I/O-derived units, not row counts: a plan that touches
-``R`` rows through ``W`` range scans and resolves ``G`` of them through
-point gets costs ``W*window_open + R*seq_row + G*point_get`` (plus a decode
-term for rows the pipeline must decompress).  The constants are expressed
-relative to one sequentially scanned row (``seq_row == 1``); their defaults
-are sane for the embedded store, and :func:`calibrate` re-derives them for
-a concrete deployment from the per-query resource ledgers the profiler
-already collects (``repro.obs.profile.QueryProfile``), replacing the old
-magic ``SECONDARY_LOOKUP_PENALTY`` multiplier.
+A query's cost is the priced sum of its I/O counters (:data:`COUNTERS`,
+named as in :class:`~repro.kvstore.stats.StatsSnapshot` and
+:class:`~repro.obs.profile.QueryProfile`) plus a fixed ``rpc`` charge for
+any query that opened a scan or issued a point get.  Two instances:
+
+- :data:`HBASE_COSTS`, in milliseconds of a small HBase deployment (~8 ms
+  per range seek, ~4 us per row scanned server-side, ~20 us per row
+  shipped plus 200 MB/s of bandwidth, 1 ms of RPC), produces
+  ``QueryResult.simulated_ms``, the figure the paper-reproduction reports
+  plot;
+- :data:`PLANNER_COSTS`, the CBO's default, in units of one sequentially
+  scanned row.  :func:`calibrate` refits it for a concrete deployment from
+  the per-query resource ledgers the profiler collects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Union
 
 # Least-squares calibration needs a handful of profiles whose counter mix
 # actually varies; below this the fit is noise and defaults are kept.
 MIN_CALIBRATION_SAMPLES = 8
 
+COUNTERS = (
+    "rows_scanned", "range_scans", "point_gets", "decode_rows", "rows_returned",
+    "bytes_transferred",
+)
+
 
 @dataclass(frozen=True)
-class CostConstants:
-    """Per-deployment cost of each primitive I/O operation.
+class CostModel:
+    """Price of one unit of each I/O counter, plus a per-query RPC charge.
 
-    Units are "sequentially scanned rows": ``seq_row`` is pinned at 1.0
-    and every other constant is how many scanned rows one such operation
-    is worth.  ``point_get`` is one primary-key lookup (the secondary
-    route pays it per resolved match — this is the calibrated successor
-    of the old flat lookup penalty), ``window_open`` the fixed cost of
-    opening one range scan (seek + RPC), and ``decode_row`` the CPU cost
-    of decompressing one trajectory row.
+    For the planner, ``point_gets`` is one primary-key lookup (the
+    secondary route pays it per resolved match), ``range_scans`` the
+    fixed cost of opening one range scan (seek + RPC), and
+    ``decode_rows`` the CPU cost of decompressing one trajectory row.
     """
 
-    seq_row: float = 1.0
-    point_get: float = 4.0
-    window_open: float = 8.0
-    decode_row: float = 0.5
+    rows_scanned: float = 0.0
+    range_scans: float = 0.0
+    point_gets: float = 0.0
+    decode_rows: float = 0.0
+    rows_returned: float = 0.0
+    bytes_transferred: float = 0.0
+    rpc: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("seq_row", "point_get", "window_open", "decode_row"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.seq_row <= 0:
-            raise ValueError("seq_row must be positive (it is the unit)")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
     def cost(
         self,
-        rows: float,
-        windows: float = 0.0,
+        rows_scanned: float = 0.0,
+        range_scans: float = 0.0,
         point_gets: float = 0.0,
-        decodes: float = 0.0,
+        decode_rows: float = 0.0,
+        rows_returned: float = 0.0,
+        bytes_transferred: float = 0.0,
     ) -> float:
-        """Total cost of a plan touching these operation counts."""
-        return (
-            rows * self.seq_row
-            + windows * self.window_open
-            + point_gets * self.point_get
-            + decodes * self.decode_row
+        """Total price of these counter values."""
+        total = (
+            rows_scanned * self.rows_scanned
+            + range_scans * self.range_scans
+            + point_gets * self.point_gets
+            + decode_rows * self.decode_rows
+            + rows_returned * self.rows_returned
+            + bytes_transferred * self.bytes_transferred
         )
+        if range_scans or point_gets:
+            total += self.rpc
+        return total
+
+    def simulate_ms(self, delta: object) -> float:
+        """Price a counter delta (a ``StatsSnapshot`` or ``QueryProfile``)."""
+        return self.cost(*(getattr(delta, name, 0) for name in COUNTERS))
+
+
+HBASE_COSTS = CostModel(
+    rows_scanned=4.0 / 1000,
+    range_scans=8.0,
+    rows_returned=20.0 / 1000,
+    bytes_transferred=1000 / (200.0 * 1_000_000),
+    rpc=1.0,
+)
+PLANNER_COSTS = CostModel(rows_scanned=1.0, range_scans=8.0, point_gets=4.0, decode_rows=0.5)
 
 
 ProfileLike = Union[Mapping[str, float], object]
@@ -73,9 +101,9 @@ def _field(profile: ProfileLike, name: str) -> float:
 
 def calibrate(
     profiles: Iterable[ProfileLike],
-    defaults: CostConstants = CostConstants(),
-) -> CostConstants:
-    """Fit cost constants to observed per-query latencies.
+    defaults: CostModel = PLANNER_COSTS,
+) -> CostModel:
+    """Fit planner prices to observed per-query latencies.
 
     ``profiles`` are :class:`~repro.obs.profile.QueryProfile` objects (or
     their ``as_dict`` mappings); the fit solves
@@ -121,12 +149,12 @@ def calibrate(
     seq = float(coef[0])
     if seq <= 0.0:
         return defaults
-    point_get = max(0.0, float(coef[1])) / seq if used[1] else defaults.point_get
-    window_open = max(0.0, float(coef[2])) / seq if used[2] else defaults.window_open
-    decode_row = max(0.0, float(coef[3])) / seq if used[3] else defaults.decode_row
-    return CostConstants(
-        seq_row=1.0,
-        point_get=point_get,
-        window_open=window_open,
-        decode_row=decode_row,
+    point_gets = max(0.0, float(coef[1])) / seq if used[1] else defaults.point_gets
+    range_scans = max(0.0, float(coef[2])) / seq if used[2] else defaults.range_scans
+    decode_rows = max(0.0, float(coef[3])) / seq if used[3] else defaults.decode_rows
+    return CostModel(
+        rows_scanned=1.0,
+        range_scans=range_scans,
+        point_gets=point_gets,
+        decode_rows=decode_rows,
     )

@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.kvstore.retry import retry_counts
-from repro.kvstore.stats import CostModel, ExecutionTrace
+from repro.kvstore.stats import ExecutionTrace
 from repro.model.mbr import MBR
 from repro.model.trajectory import Trajectory
 from repro.obs import (
@@ -34,6 +34,7 @@ from repro.obs.profile import (
     profile_scope,
     profiling_enabled,
 )
+from repro.query.cost import HBASE_COSTS
 from repro.query.operators import (
     DivergenceGuard,
     PlanDivergenceError,
@@ -102,9 +103,8 @@ Query = Union[
 class QueryExecutor:
     """Runs planned queries against the primary and secondary tables."""
 
-    def __init__(self, tman: "TMan", cost_model: Optional[CostModel] = None):
+    def __init__(self, tman: "TMan"):
         self._t = tman
-        self._cost = cost_model if cost_model is not None else CostModel()
 
     # -- public entry points -------------------------------------------------
 
@@ -456,7 +456,7 @@ class QueryExecutor:
             transferred_rows=delta.rows_returned,
             windows=delta.range_scans,
             elapsed_ms=elapsed,
-            simulated_ms=self._cost.simulate_ms(delta),
+            simulated_ms=HBASE_COSTS.simulate_ms(delta),
             plan=f"{plan.index}/{plan.route}",
             distances=distances,
             trace=trace,

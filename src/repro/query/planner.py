@@ -23,7 +23,7 @@ from repro.core.interval import IntervalIndex
 from repro.core.temporal import TRIndex
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
-from repro.query.cost import CostConstants
+from repro.query.cost import PLANNER_COSTS, CostModel
 from repro.query.types import (
     IDTemporalQuery,
     KNNPointQuery,
@@ -124,7 +124,7 @@ class QueryPlanner:
     def __init__(self, config: TManConfig, stats: Optional[DataStatistics] = None):
         self.config = config
         self.stats = stats
-        self.cost_constants = CostConstants()
+        self.costs = PLANNER_COSTS
         self._table_stats: Optional[
             Callable[[], Optional["TableStatistics"]]
         ] = None
@@ -160,9 +160,9 @@ class QueryPlanner:
         """
         self._table_stats = provider
 
-    def set_cost_constants(self, constants: CostConstants) -> None:
-        """Install (calibrated) cost constants for plan costing."""
-        self.cost_constants = constants
+    def set_costs(self, costs: CostModel) -> None:
+        """Install (calibrated) counter prices for plan costing."""
+        self.costs = costs
 
     def set_spatial_window_counter(self, counter: Callable[[MBR], int]) -> None:
         """Attach a callback returning the range scans a TShape window opens.
@@ -384,18 +384,25 @@ class QueryPlanner:
     ) -> tuple[float, float]:
         """``(cost, est_rows_touched)`` for one applicable (index, route).
 
-        Costs are in calibrated I/O units (:class:`CostConstants`): rows
+        Costs are in calibrated I/O units (:class:`CostModel`): rows
         streamed through range scans, window-open overhead per scan (×
         shard count on the primary table), one point get per secondary
         match resolved, and decode work for surviving rows.
         """
-        c = self.cost_constants
+        c = self.costs
         shards = max(1, self.config.num_shards)
         matches = self.estimate_candidates(query) or 0.0
 
+        def secondary(rows: float, windows: float) -> tuple[float, float]:
+            # Each secondary match pays one point get and one decode.
+            cost = c.cost(
+                rows_scanned=rows, range_scans=windows, point_gets=matches, decode_rows=matches
+            )
+            return cost, rows
+
         if index == "scan" or route == "scan":
             n = float(self._row_count())
-            return c.cost(rows=n, windows=shards, decodes=n), n
+            return c.cost(rows_scanned=n, range_scans=shards, decode_rows=n), n
 
         time_range = getattr(query, "time_range", None)
 
@@ -403,11 +410,7 @@ class QueryPlanner:
             # Scans matches plus the over-approximated tail, but the
             # push-down TemporalFilter prunes before resolve: only the
             # true matches pay a point get.
-            rows = self._interval_rows(time_range)
-            return (
-                c.cost(rows=rows, windows=2, point_gets=matches, decodes=matches),
-                rows,
-            )
+            return secondary(self._interval_rows(time_range), 2)
 
         if index in ("tr", "st", "idt") and time_range is not None:
             rows = self._est_temporal(time_range) or 0.0
@@ -420,14 +423,9 @@ class QueryPlanner:
                 # Fine ST windows push both predicates into the key space.
                 rows = self._est_st(query.window, time_range) or rows
             if route == "primary":
-                return (
-                    c.cost(rows=rows, windows=wins * shards, decodes=matches),
-                    rows,
-                )
-            return (
-                c.cost(rows=rows, windows=wins, point_gets=matches, decodes=matches),
-                rows,
-            )
+                cost = c.cost(rows_scanned=rows, range_scans=wins * shards, decode_rows=matches)
+                return cost, rows
+            return secondary(rows, wins)
 
         if index == "tshape":
             if isinstance(query, ThresholdSimilarityQuery):
@@ -443,11 +441,8 @@ class QueryPlanner:
             rows = self._est_spatial(window) or 0.0
             wins = self._spatial_windows(window)
             if route == "primary":
-                return c.cost(rows=rows, windows=wins, decodes=matches), rows
-            return (
-                c.cost(rows=rows, windows=wins, point_gets=matches, decodes=matches),
-                rows,
-            )
+                return c.cost(rows_scanned=rows, range_scans=wins, decode_rows=matches), rows
+            return secondary(rows, wins)
 
         # Unknown combination: infinitely expensive, never chosen.
         return float("inf"), 0.0

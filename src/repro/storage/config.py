@@ -38,14 +38,6 @@ class TManConfig:
     codec: str = "simple8b"
     dp_epsilon: float = 0.002
     buffer_shape_threshold: int = 512
-    # Row format written by this deployment: 2 is the columnar layout
-    # (delta+zigzag+varint streams plus a skippable feature section); 1 is
-    # the legacy layout, still readable by every v2 deployment.
-    row_format_version: int = 2
-    # Decode rows into columnar PointBlocks (vectorized refinement and
-    # similarity kernels).  False forces the legacy per-point object path;
-    # results are bit-identical either way.
-    columnar_decode: bool = True
     # query processing
     push_down: bool = True
     st_window_budget: int = 4096
@@ -144,10 +136,6 @@ class TManConfig:
             )
         if self.shape_encoding not in ("bitmap", "greedy", "genetic"):
             raise ValueError(f"unknown shape_encoding {self.shape_encoding!r}")
-        if self.row_format_version not in (1, 2):
-            raise ValueError(
-                f"row_format_version must be 1 or 2, got {self.row_format_version}"
-            )
         if self.scan_batch_rows is not None and self.scan_batch_rows <= 0:
             raise ValueError(
                 f"scan_batch_rows must be positive, got {self.scan_batch_rows}"

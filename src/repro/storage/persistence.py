@@ -2,7 +2,8 @@
 
 A deployment directory holds three artifacts:
 
-- ``config.json`` — the :class:`TManConfig` fields (boundary as a tuple);
+- ``config.json`` — every :class:`TManConfig` field but those in
+  ``UNSAVED_FIELDS`` (boundary as a tuple);
 - ``tables.snap`` — every KV table (primary, secondaries, metadata);
 - ``cache.rdb`` — the Redis-backed shape index cache.
 
@@ -14,6 +15,7 @@ update protocol re-stages unknown shapes on demand).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Optional, Union
@@ -29,57 +31,35 @@ TABLES_FILE = "tables.snap"
 CACHE_FILE = "cache.rdb"
 
 
+# Config fields save_tman does not write.  A snapshot reopens as a
+# self-contained in-process deployment, so the process-mode worker data
+# directory of the live deployment means nothing to it (and may be gone).
+UNSAVED_FIELDS = ("cluster_data_dir",)
+# Keys of removed knobs that older config.json files still carry;
+# open_tman drops them.  Dropping is safe: the reader still accepts the
+# v1 rows row_format_version=1 wrote, and decode is always columnar.
+RETIRED_FIELDS = ("row_format_version", "columnar_decode")
+
+
 def save_tman(tman: TMan, directory: Union[str, Path]) -> None:
     """Persist a deployment (tables + index cache + config) to a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    cfg = tman.config
     doc = {
-        "boundary": cfg.boundary.as_tuple(),
-        "primary_index": cfg.primary_index,
-        "secondary_indexes": list(cfg.secondary_indexes),
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "max_resolution": cfg.max_resolution,
-        "shape_encoding": cfg.shape_encoding,
-        "use_index_cache": cfg.use_index_cache,
-        "index_cache_capacity": cfg.index_cache_capacity,
-        "tr_period_seconds": cfg.tr_period_seconds,
-        "tr_max_periods": cfg.tr_max_periods,
-        "time_origin": cfg.time_origin,
-        "num_shards": cfg.num_shards,
-        "codec": cfg.codec,
-        "dp_epsilon": cfg.dp_epsilon,
-        "buffer_shape_threshold": cfg.buffer_shape_threshold,
-        "row_format_version": cfg.row_format_version,
-        "columnar_decode": cfg.columnar_decode,
-        "push_down": cfg.push_down,
-        "st_window_budget": cfg.st_window_budget,
-        "kv_workers": cfg.kv_workers,
-        "split_rows": cfg.split_rows,
-        "scan_batch_rows": cfg.scan_batch_rows,
-        "coalesce_windows": cfg.coalesce_windows,
-        "window_parallel": cfg.window_parallel,
-        "window_concurrency": cfg.window_concurrency,
-        "multi_get_batch": cfg.multi_get_batch,
-        "block_cache_bytes": cfg.block_cache_bytes,
-        "admission_max_inflight": cfg.admission_max_inflight,
-        "admission_max_queue": cfg.admission_max_queue,
-        "admission_queue_timeout_ms": cfg.admission_queue_timeout_ms,
-        "memtable_soft_bytes": cfg.memtable_soft_bytes,
-        "memtable_hard_bytes": cfg.memtable_hard_bytes,
-        "write_stall_timeout_ms": cfg.write_stall_timeout_ms,
-        "write_throttle_ms": cfg.write_throttle_ms,
-        "default_deadline_ms": cfg.default_deadline_ms,
-        # Snapshots always reopen in thread mode: the table dump below
-        # streams every row out of the live deployment (works identically
-        # over the cluster RPC layer), and the restored copy is a
-        # self-contained single-process deployment.  Re-enable process
-        # mode explicitly via config_overrides at open time.
-        "cluster_mode": "threads",
-        "row_count": tman.row_count,
+        f.name: getattr(tman.config, f.name)
+        for f in dataclasses.fields(TManConfig)
+        if f.name not in UNSAVED_FIELDS
     }
+    doc["boundary"] = tman.config.boundary.as_tuple()
+    doc["secondary_indexes"] = list(tman.config.secondary_indexes)
+    # Snapshots always reopen in thread mode: the table dump below
+    # streams every row out of the live deployment (works identically
+    # over the cluster RPC layer), and the restored copy is a
+    # self-contained single-process deployment.  Re-enable process
+    # mode explicitly via config_overrides at open time.
+    doc["cluster_mode"] = "threads"
+    doc["row_count"] = tman.row_count
     (directory / CONFIG_FILE).write_text(json.dumps(doc, indent=2))
     save_cluster(tman.cluster, directory / TABLES_FILE)
     (directory / CACHE_FILE).write_bytes(tman.index_cache.redis.dump())
@@ -97,7 +77,14 @@ def open_tman(
     """
     directory = Path(directory)
     doc = json.loads((directory / CONFIG_FILE).read_text())
-    row_count = doc.pop("row_count", 0)
+    doc.pop("row_count", None)
+    for key in RETIRED_FIELDS:
+        doc.pop(key, None)
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(TManConfig)})
+    if unknown:
+        raise ValueError(
+            f"{directory / CONFIG_FILE}: unknown config keys {unknown}"
+        )
     boundary = MBR(*doc.pop("boundary"))
     doc["secondary_indexes"] = tuple(doc["secondary_indexes"])
     if config_overrides:

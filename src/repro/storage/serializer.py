@@ -35,15 +35,16 @@ v2 (columnar)::
 v2 quantizes feature values on the same fixed-point grids as the point
 codec (rounded outward for the boxes, so they stay sound covers for both
 raw and decoded points), which drops the 56 raw float64 bytes per
-representative point that dominated v1 feature size.  Readers accept both
-versions; ``write_version`` selects what new rows get.
+representative point that dominated v1 feature size.  New rows are always
+v2; readers accept both versions, so deployments holding v1 rows keep
+working (``tests/fixtures/golden_rows.json`` pins both layouts).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -101,32 +102,23 @@ class RowSerializer:
     """Encode/decode primary-table row values.
 
     ``dp_epsilon`` controls DP-feature extraction granularity, in degrees.
-    ``write_version`` picks the on-disk row format for new rows (readers
-    always understand both).  With ``columnar`` decoding, point payloads
-    come back as :class:`PointBlock` columns; the legacy object path
-    materializes ``STPoint`` lists instead.
+    New rows are written as v2; point payloads decode into
+    :class:`PointBlock` columns.
     """
 
     def __init__(
         self,
         codec: Optional[TrajectoryCodec] = None,
         dp_epsilon: float = 0.002,
-        write_version: int = VERSION,
-        columnar: bool = True,
     ):
-        if write_version not in SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported row write version {write_version}")
         self.codec = codec if codec is not None else TrajectoryCodec()
         self.dp_epsilon = dp_epsilon
-        self.write_version = write_version
-        self.columnar = columnar
 
     # -- encoding ----------------------------------------------------------
 
     def encode(self, traj: Trajectory, tr_value: int) -> bytes:
         """Serialize one trajectory row."""
-        version = self.write_version
-        out = bytearray([MAGIC, version])
+        out = bytearray([MAGIC, VERSION])
         tr = traj.time_range
         m = traj.mbr
         out += _HEADER.pack(tr.start, tr.end, m.x1, m.y1, m.x2, m.y2)
@@ -135,32 +127,17 @@ class RowSerializer:
             raw = text.encode("utf-8")
             encode_varint(len(raw), out)
             out += raw
-
-        if version == 1:
-            self._encode_feature_v1(traj, out)
-            blob = self.codec.encode_points(traj.points)
-        else:
-            feature = extract_dp_feature(traj.block, self.dp_epsilon)
-            feat = _encode_feature_v2(feature)
-            encode_varint(len(feat), out)
-            out += feat
-            # The configured codec keeps packing the point streams (its
-            # compression ratio is orthogonal to the v2 feature layout);
-            # decode_array_block reads every codec id back as columns.
-            blob = self.codec.encode_points(traj.block)
+        feature = extract_dp_feature(traj.block, self.dp_epsilon)
+        feat = _encode_feature_v2(feature)
+        encode_varint(len(feat), out)
+        out += feat
+        # The configured codec keeps packing the point streams (its
+        # compression ratio is orthogonal to the v2 feature layout);
+        # decode_array_block reads every codec id back as columns.
+        blob = self.codec.encode_points(traj.block)
         encode_varint(len(blob), out)
         out += blob
         return bytes(out)
-
-    def _encode_feature_v1(self, traj: Trajectory, out: bytearray) -> None:
-        feature = extract_dp_feature(traj.points, self.dp_epsilon)
-        encode_varint(len(feature.rep_points), out)
-        for idx in feature.rep_indexes:
-            encode_varint(idx, out)
-        for p in feature.rep_points:
-            out += struct.pack(">ddd", p.t, p.lng, p.lat)
-        for box in feature.span_boxes:
-            out += struct.pack(">dddd", *box.as_tuple())
 
     # -- decoding ------------------------------------------------------------
 
@@ -252,27 +229,16 @@ class RowSerializer:
 
     def _decode_trajectory_at(self, buf: bytes, pos: int, header: RowHeader) -> Trajectory:
         blob_len, pos = decode_varint(buf, pos)
-        blob = buf[pos : pos + blob_len]
-        if self.columnar:
-            ts, xs, ys = self.codec.decode_array_block(blob)
-            points: Union[PointBlock, list[STPoint]] = PointBlock(
-                ts, xs, ys, validate=False
-            )
-        else:
-            points = self.codec.decode_points(blob)
-        return Trajectory(header.oid, header.tid, points)
+        ts, xs, ys = self.codec.decode_array_block(buf[pos : pos + blob_len])
+        return Trajectory(header.oid, header.tid, PointBlock(ts, xs, ys, validate=False))
 
-    def decode_points(self, buf: bytes) -> Union[PointBlock, list[STPoint]]:
+    def decode_points(self, buf: bytes) -> PointBlock:
         """Decode just the raw point sequence (exact-filter path).
 
-        Returns a lazily-materializing :class:`PointBlock` under columnar
-        decoding, or an ``STPoint`` list on the legacy path — both behave
-        as point sequences.
+        Returns a lazily-materializing :class:`PointBlock`, which behaves
+        as a point sequence.
         """
-        points = self.decode_trajectory(buf).trajectory
-        if self.columnar:
-            return points.block
-        return list(points.points)
+        return self.decode_trajectory(buf).trajectory.block
 
 
 # -- v2 feature codec ------------------------------------------------------

@@ -29,7 +29,6 @@ from repro.cluster.process_cluster import ProcessCluster
 from repro.kvstore import simfault
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.retry import RetryPolicy
-from repro.kvstore.stats import CostModel
 from repro.model.mbr import MBR
 from repro.model.timerange import TimeRange
 from repro.model.trajectory import Trajectory
@@ -126,7 +125,6 @@ class TMan:
         config: TManConfig,
         cluster: Optional[Cluster] = None,
         redis: Optional[RedisServer] = None,
-        cost_model: Optional[CostModel] = None,
     ):
         self.config = config
         self.cluster = cluster if cluster is not None else cluster_from(config)
@@ -166,12 +164,7 @@ class TMan:
         self.st_index = STIndex(self.tr_index, self.tshape_index, config.st_window_budget)
 
         # Storage plumbing.
-        self.serializer = RowSerializer(
-            TrajectoryCodec(config.codec),
-            config.dp_epsilon,
-            write_version=config.row_format_version,
-            columnar=config.columnar_decode,
-        )
+        self.serializer = RowSerializer(TrajectoryCodec(config.codec), config.dp_epsilon)
         self.keys = RowKeyCodec(config.num_shards, config.primary_index_width)
         self.index_cache = ShapeIndexCache(redis, config.index_cache_capacity)
         self.buffer_cache = BufferShapeCache(config.buffer_shape_threshold)
@@ -214,7 +207,7 @@ class TMan:
         self.planner = QueryPlanner(config)
         self.planner.set_statistics_provider(self.stats_builder.snapshot)
         self.planner.set_spatial_window_counter(self._count_spatial_windows)
-        self.executor = QueryExecutor(self, cost_model)
+        self.executor = QueryExecutor(self)
         self._row_count = 0
         self._time_lo: Optional[float] = None
         self._time_hi: Optional[float] = None
@@ -304,16 +297,16 @@ class TMan:
         )
 
     def calibrate_costs(self) -> bool:
-        """Fit the planner's cost constants to this deployment's profiles.
+        """Fit the planner's counter prices to this deployment's profiles.
 
         Uses the per-query I/O ledgers accumulated in the profile log; with
         fewer than the minimum samples the planner keeps its current
-        constants.  Returns True when a calibrated fit was installed.
+        prices.  Returns True when a calibrated fit was installed.
         """
         profiles = list(_obs_profile_log().entries())
-        fitted = calibrate(profiles, defaults=self.planner.cost_constants)
-        changed = fitted != self.planner.cost_constants
-        self.planner.set_cost_constants(fitted)
+        fitted = calibrate(profiles, defaults=self.planner.costs)
+        changed = fitted != self.planner.costs
+        self.planner.set_costs(fitted)
         return changed
 
     def rebuild_statistics(self) -> None:

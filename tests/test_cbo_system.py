@@ -171,9 +171,9 @@ class TestStatisticsRefresh:
         config = TManConfig(boundary=TDRIVE_SPEC.boundary, kv_workers=1)
         with TMan(config) as tman:
             profile_log().clear()  # isolate from other tests' queries
-            before = tman.planner.cost_constants
+            before = tman.planner.costs
             assert tman.calibrate_costs() is False
-            assert tman.planner.cost_constants == before
+            assert tman.planner.costs == before
 
 
 class TestAdaptiveReplan:

@@ -129,6 +129,53 @@ class TestCommands:
             line for line in out.splitlines()[1:] if not line.startswith("fault ")
         ]
 
+    def test_limit_is_pushed_into_the_query(self, deployment, capsys):
+        code = main([
+            "query", str(deployment), "--type", "temporal",
+            "--start", "0", "--end", "1e9", "--limit", "3",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        # The engine stopped at 3 trajectories (not 60 cut to 3 for display).
+        assert lines[0].startswith("3 trajectories")
+        assert len([line for line in lines if line.startswith("  tdrive-")]) == 3
+        assert not any("more" in line for line in lines)
+
+    def test_limit_on_id_query(self, deployment, csv_path, capsys):
+        oid = next(read_csv(csv_path)).oid
+        code = main([
+            "query", str(deployment), "--type", "id", "--oid", oid,
+            "--start", "0", "--end", "1e9", "--limit", "1",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("1 trajectories")
+
+    @pytest.mark.parametrize("command", ["query", "explain"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--type", "spatial", "--window", "116.2,39.8"], "--window"),
+            (["--type", "spatial", "--window", "a,b,c,d"], "--window"),
+            (["--type", "st", "--window", "117,40,116,39"], "--window"),
+            (["--type", "spatial"], "--type spatial needs --window"),
+            (["--type", "st"], "--type st needs --window"),
+            (["--type", "id"], "--type id needs --oid"),
+        ],
+    )
+    def test_malformed_input_exits_2(self, deployment, capsys, command, args, message):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(deployment), *args])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
+
+    def test_nonpositive_limit_exits_2(self, deployment, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", str(deployment), "--type", "temporal", "--limit", "0"])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
     def test_load_empty_csv_fails(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("oid,tid,t,lng,lat\n")

@@ -113,7 +113,9 @@ def test_replica_killed_mid_query_results_identical(dataset, baseline, qname):
         assert [x.tid for x in res.trajectories] == tids
         assert res.distances == distances
         # The kill really happened mid-query: the armed worker is gone
-        # and the router noticed.
+        # and the router noticed.  The worker dies on its own after
+        # failing the RPC, so give the process a bounded wait to exit.
+        cluster._handles[victim]._process.join(timeout=10.0)
         assert not cluster._handles[victim].alive
         assert cluster.cluster_health()["nodes"][victim]["state"] == "down"
     finally:
@@ -131,6 +133,7 @@ def test_killed_replica_rejoins_and_receives_hints(dataset, baseline):
         cluster.arm_crash(victim, "rpc.get")
         run = _queries(dataset)["spatial"]
         run(t)
+        cluster._handles[victim]._process.join(timeout=10.0)
         assert not cluster._handles[victim].alive
 
         cluster.restart_node(victim)

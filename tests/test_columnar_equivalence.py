@@ -1,10 +1,13 @@
 """Columnar decode and the v2 row format change nothing observable.
 
-One dataset, four deployments — every combination of
-``columnar_decode`` × ``row_format_version`` — and all seven query
-types plus the similarity self-join run against each.  Results must be
-identical (same tids in the same order, bit-identical distances): the
-columnar refactor is a representation change, not a semantics change.
+One dataset, four deployments — columnar or scalar point decode × v2 or
+v1 rows — and all seven query types plus the similarity self-join run
+against each.  The library writes only v2 rows and decodes only into
+columnar blocks; the v1 rows and the scalar decode come from the
+test-only :class:`tests.legacy_rows.LegacyRowSerializer`.  Results must
+be identical (same tids in the same order, bit-identical distances): the
+columnar representation is a representation change, not a semantics
+change, and v1 rows still read back exactly through every query type.
 """
 
 from __future__ import annotations
@@ -16,21 +19,26 @@ from repro.datasets import TDRIVE_SPEC, tdrive_like
 from repro.model import MBR, TimeRange
 from repro.model.trajectory import Trajectory
 from repro.similarity.join import threshold_self_join
+from tests.legacy_rows import LegacyRowSerializer
 
 N_TRAJS = 80
 SEED = 4242
 
 
-def _make(dataset, **overrides):
+def _make(dataset, **legacy):
     config = TManConfig(
         boundary=TDRIVE_SPEC.boundary,
         max_resolution=12,
         num_shards=2,
         kv_workers=2,
         split_rows=500,
-        **overrides,
     )
     tman = TMan(config)
+    if legacy:
+        serializer = tman.serializer
+        tman.serializer = LegacyRowSerializer(
+            serializer.codec, serializer.dp_epsilon, **legacy
+        )
     tman.bulk_load(dataset)
     return tman
 
@@ -44,9 +52,9 @@ def dataset():
 def deployments(dataset):
     variants = {
         "columnar_v2": dict(),
-        "legacy_decode_v2": dict(columnar_decode=False),
-        "columnar_v1": dict(row_format_version=1),
-        "legacy_decode_v1": dict(columnar_decode=False, row_format_version=1),
+        "legacy_decode_v2": dict(scalar_decode=True),
+        "columnar_v1": dict(write_v1=True),
+        "legacy_decode_v1": dict(scalar_decode=True, write_v1=True),
     }
     tmans = {name: _make(dataset, **kw) for name, kw in variants.items()}
     yield tmans

@@ -41,6 +41,7 @@ from repro.compression.zigzag import zigzag_encode
 from repro.model.point import STPoint
 from repro.model.trajectory import Trajectory
 from repro.storage.serializer import RowSerializer
+from tests.legacy_rows import LegacyRowSerializer
 
 
 def _random_uints(rng, n, bits):
@@ -172,8 +173,9 @@ def _trajectory(n, seed, duplicate_ts=False):
 
 @pytest.mark.parametrize("write_version", [1, 2])
 def test_row_round_trip_across_versions(write_version):
-    writer = RowSerializer(write_version=write_version)
-    reader = RowSerializer()  # default: latest version, columnar decode
+    # v1 rows come from the test-only v1 writer (pinned to golden bytes).
+    writer = LegacyRowSerializer(write_v1=write_version == 1)
+    reader = RowSerializer()
     for traj in (
         _trajectory(1, seed=11),
         _trajectory(9, seed=12, duplicate_ts=True),
@@ -185,20 +187,23 @@ def test_row_round_trip_across_versions(write_version):
         assert stored.tr_value == 3
         assert stored.trajectory.tid == traj.tid
         # Decoded points are identical whichever version wrote the row.
-        v1_row = RowSerializer(write_version=1).encode(traj, tr_value=3)
+        v1_row = LegacyRowSerializer(write_v1=True).encode(traj, tr_value=3)
         assert list(reader.decode(row).trajectory.points) == list(
             reader.decode(v1_row).trajectory.points
         )
 
 
 def test_legacy_decode_path_matches_columnar():
+    # The scalar per-point codec decode (test-only oracle) and the
+    # library's columnar decode agree point for point.
     from repro.model.pointblock import PointBlock
 
     traj = _trajectory(120, seed=21)
     row = RowSerializer().encode(traj, tr_value=0)
-    assert isinstance(RowSerializer(columnar=True).decode_points(row), PointBlock)
-    assert isinstance(RowSerializer(columnar=False).decode_points(row), list)
-    columnar = RowSerializer(columnar=True).decode(row).trajectory
-    legacy = RowSerializer(columnar=False).decode(row).trajectory
+    scalar = LegacyRowSerializer(scalar_decode=True)
+    assert isinstance(RowSerializer().decode_points(row), PointBlock)
+    assert isinstance(scalar.decode_points(row), list)
+    columnar = RowSerializer().decode(row).trajectory
+    legacy = scalar.decode(row).trajectory
     assert list(columnar.points) == list(legacy.points)
     assert columnar.mbr == legacy.mbr

@@ -6,7 +6,8 @@ from repro.kvstore import Cluster, PrefixFilter, Scan, TrueFilter
 from repro.kvstore.errors import TableExistsError, TableNotFoundError
 from repro.kvstore.filters import FilterChain, KeyRangeFilter
 from repro.kvstore.region import Region
-from repro.kvstore.stats import CostModel, IOStats
+from repro.kvstore.stats import IOStats
+from repro.query.cost import HBASE_COSTS, CostModel
 
 
 def k(i):
@@ -183,7 +184,7 @@ class TestStats:
         assert stats.snapshot().rows_scanned == 0
 
     def test_cost_model_prices_seeks(self):
-        cm = CostModel(seek_ms=8.0, rpc_ms=0.0)
+        cm = CostModel(range_scans=8.0)
         from repro.kvstore.stats import StatsSnapshot
 
         cost_1 = cm.simulate_ms(StatsSnapshot(range_scans=1))
@@ -193,4 +194,4 @@ class TestStats:
     def test_cost_model_zero_work_is_free(self):
         from repro.kvstore.stats import StatsSnapshot
 
-        assert CostModel().simulate_ms(StatsSnapshot()) == 0.0
+        assert HBASE_COSTS.simulate_ms(StatsSnapshot()) == 0.0

@@ -311,17 +311,19 @@ class TestExporters:
         assert validate_snapshot([1, 2, 3])
 
     def test_validate_cli(self, tmp_path, reg, capsys):
-        from repro.obs.validate import main as validate_main
+        from repro.bench.validate import main as validate_main
 
         reg.counter("c").inc()
         good = tmp_path / "good.json"
         good.write_text(to_json(reg))
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "wrong"}')
-        assert validate_main([str(good)]) == 0
+        assert validate_main(["metrics", str(good)]) == 0
         assert "schema-valid" in capsys.readouterr().out
-        assert validate_main([str(bad)]) == 1
-        assert validate_main([]) == 2
+        assert validate_main(["metrics", str(bad)]) == 1
+        with pytest.raises(SystemExit) as exc:
+            validate_main(["metrics"])
+        assert exc.value.code == 2
 
 
 @pytest.fixture

@@ -167,18 +167,18 @@ class TestValidation:
         assert validate_workload_stats(doc)
 
     def test_validate_cli_stats_mode(self, tmp_path, capsys):
-        from repro.obs.validate import main
+        from repro.bench.validate import main
 
         ws = WorkloadStatsCollector()
         ws.record(_profile())
         good = tmp_path / "ws.json"
         good.write_text(json.dumps(ws.snapshot()))
-        assert main(["--stats", str(good)]) == 0
+        assert main(["stats", str(good)]) == 0
         assert "schema-valid" in capsys.readouterr().out
 
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "nope", "groups": []}))
-        assert main(["--stats", str(bad)]) == 1
+        assert main(["stats", str(bad)]) == 1
 
 
 class TestDashboardPlanPanel:
